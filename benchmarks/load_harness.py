@@ -441,7 +441,7 @@ def check_consistency(client: ServiceClient, summary: dict) -> dict:
     # and the per-engine sum never exceeds the overall batch count (which
     # also covers analyse/makespan groups).
     engine_stats = stats["engine"]["by_engine"]
-    for name in ("dense", "lockstep", "compiled"):
+    for name in sorted(set(engine_stats) | set(sim_engines)):
         checks[f"sim_engine_{name}"] = (
             engine_stats.get(name, 0) == sim_engines.get(name, 0)
         )
@@ -453,7 +453,6 @@ def check_consistency(client: ServiceClient, summary: dict) -> dict:
         "metrics_requests": service_requests,
         "metrics_http_responses": http_responses,
         "metrics_sim_engines": sim_engines,
-        "vector_threshold": stats["engine"].get("vector_threshold"),
         "checks": checks,
         "consistent": all(checks.values()),
     }

@@ -5,7 +5,7 @@ Two experiments are recorded at the sampling effort of the original paper:
 
 * **Figure 6** -- 100 DAGs per sweep point, the full 15-point fraction grid
   and all four host sizes (``m in {2, 4, 8, 16}``); 12 000 simulations
-  served by the vectorised lockstep kernel
+  served by the compiled kernel
   (:mod:`repro.simulation.vectorized` via ``simulate_many``).
 * **Figure 7** -- the paper's WCET range (``ilp_wcet_max = 100``) over the
   9-point small-task fraction grid for ``m in {2, 8}``, solved by the PR-2
@@ -22,8 +22,8 @@ references of the slow regression tests
 (``tests/test_paper_scale_goldens.py`` compares a fresh run against
 ``tests/data/figure6_paper_golden.json`` / ``figure7_paper_golden.json``).
 
-Two further paper-scale workloads ride on the compiled lockstep backend
-(PR 8) and are recorded the same way:
+Two further paper-scale workloads ride on the compiled kernel (PR 8) and
+are recorded the same way:
 
 * **Figure 6 upper range** (``--figure 6-upper``) -- the same sweep over
   the paper's *upper* task-size band (``n in [250, 400]``,
@@ -32,8 +32,8 @@ Two further paper-scale workloads ride on the compiled lockstep backend
 * **Seven-policy scheduler ablation** (``--figure ablation``) -- every
   registered policy family over the Figure 6 sweep at paper scale,
   submitted request-by-request through the evaluation service's
-  micro-batch queue (the grid executor coalesces the bursts into task x
-  platform x policy grids); frozen as
+  micro-batch queue (the facade coalesces the bursts into one task column
+  per platform and policy); frozen as
   ``tests/data/scheduler_ablation_paper_golden.json``.
 
 Run with:  python benchmarks/run_paper_scale.py [--figure 6|7|6-upper|ablation|all] [--jobs N]

@@ -159,9 +159,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         return 0
     # Default fast path: the trace-free dense engine (simulate_makespan),
-    # bit-identical to the reference engine for every policy.  The
-    # vectorised lockstep kernel only amortises over large batches -- for
-    # a single simulation the dense engine is the right engine.
+    # bit-identical to the reference engine for every policy.
     makespan = simulate_makespan(task, platform, policy, offload_enabled)
     print(f"makespan               = {makespan:g}")
     print("(use --gantt for the schedule chart and utilisation figures)")

@@ -122,11 +122,12 @@ class CompiledTask:
     # ------------------------------------------------------------------
     # Batch (array) views
     # ------------------------------------------------------------------
-    # The vectorised lockstep kernel (:mod:`repro.simulation.vectorized`)
-    # stacks many simulations of compiled tasks into flat numpy state; it
-    # needs the CSR and in-degree data as integer arrays rather than Python
-    # lists.  The arrays are materialised once per view and cached (the view
-    # is immutable); like the lists they must never be mutated.
+    # The batched engines (:mod:`repro.simulation.vectorized`, the coupled
+    # workload engine) stack many simulations of compiled tasks into flat
+    # numpy state; they need the CSR and in-degree data as integer arrays
+    # rather than Python lists.  The arrays are materialised once per view
+    # and cached (the view is immutable); like the lists they must never be
+    # mutated.
 
     def _view(self, name: str, source: list[int]) -> np.ndarray:
         array = self._views.get(name)

@@ -76,8 +76,8 @@ def run_scheduler_ablation(
     its chunked parallel generation and the batched simulator
     (:func:`repro.simulation.batch.simulate_many` -- one compile per task
     variant serves every sweep cell, and every registered policy family
-    runs through the vectorised lockstep kernel); ``jobs`` is forwarded
-    with bit-identical results.
+    runs through the compiled kernel); ``jobs`` is forwarded with
+    bit-identical results.
 
     Returns
     -------
@@ -122,8 +122,8 @@ def run_scheduler_ablation_service(
     an individual request to a live :class:`~repro.service.facade.
     EvaluationService` from a thread pool -- the shape of a sweep client
     hitting the HTTP facade.  The micro-batcher coalesces the bursts into
-    task x platform x policy grids for the lockstep kernel (the grid
-    executor's policy axis), while the stochastic policy takes the solo
+    one task column per ``(platform, policy)`` pair, each a single
+    ``simulate_many`` call, while the stochastic policy takes the solo
     path with an explicit per-request seed, so the resulting figures are
     deterministic and independent of batch composition -- the documents
     can be frozen as goldens.
@@ -152,10 +152,10 @@ def run_scheduler_ablation_service(
     platform = Platform(host_cores=cores, accelerators=1)
 
     # One request per (point, variant, task, policy), task-major so a flush
-    # window holds every policy of the tasks it covers (dense 3-axis grids
-    # for the coalescer).  The stochastic policy gets an explicit seed per
-    # cell -- derived only from the sampling parameters, never from batch
-    # composition -- which the solo path replays exactly.
+    # window holds every policy of the tasks it covers (one task column per
+    # policy for the coalescer).  The stochastic policy gets an explicit
+    # seed per cell -- derived only from the sampling parameters, never
+    # from batch composition -- which the solo path replays exactly.
     requests = []
     for point_index, point in enumerate(points):
         variants = [point.tasks, [transform(task).task for task in point.tasks]]

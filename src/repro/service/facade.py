@@ -19,17 +19,18 @@ service amortises the work across them:
    batched-engine call -- :func:`~repro.simulation.batch.simulate_many`,
    :func:`~repro.analysis.batch.analyse_many` or
    :func:`~repro.ilp.batch.minimum_makespans_many` -- so a burst of N
-   single-cell requests costs one vectorised-kernel batch, not N Python
-   event loops.
+   single-cell requests on one platform under one policy costs one
+   compiled-kernel call, not N Python event loops.
 
 Correctness contract
 --------------------
 Batched == sequential, bit for bit.  Every payload the service returns is
 exactly what a one-shot evaluation of the same request produces:
 
-* deterministic policies ride the PR-4 lockstep kernel, whose per-lane
-  results are independent of batch composition (hypothesis-enforced by
-  ``tests/test_vectorized_engine.py``), so coalescing cannot change them;
+* deterministic policies ride the compiled kernel (the dense engine on
+  hosts without it), whose per-lane results are independent of batch
+  composition (hypothesis-enforced by ``tests/test_vectorized_engine.py``),
+  so coalescing cannot change them;
 * the stochastic ``random`` policy is the one family whose draws *would*
   depend on batch composition -- the service therefore evaluates those
   requests solo (one fresh seeded instance per request, dense engine), so
@@ -64,7 +65,6 @@ from ..ilp.makespan import MakespanMethod, MakespanResult
 from ..parallel import worker_respawn_count
 from ..resilience import FAULTS, CircuitBreaker, Deadline, fault_point
 from ..simulation.batch import resolve_engine, simulate_many
-from ..simulation.calibration import vector_threshold as _calibrated_threshold
 from ..simulation.engine import simulate_makespan
 from ..simulation.kernel_stats import collect_kernel_stats
 from ..simulation.platform import Platform
@@ -72,6 +72,7 @@ from ..simulation.workload import (
     JobStream,
     WorkloadResult,
     build_workload,
+    resolve_workload_backend,
     simulate_workload,
 )
 from ..simulation.schedulers import (
@@ -100,6 +101,11 @@ __all__ = [
     "makespan_payload",
     "workload_payload",
 ]
+
+#: Engine label of workload requests in the metrics and spans: the coupled
+#: engine ``simulate_workload(backend="auto")`` resolves to, named like its
+#: kernel step profiles.
+_WORKLOAD_ENGINE = f"workload.{resolve_workload_backend('auto')}"
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +293,8 @@ class EvaluationService:
         Pending-request count that triggers an immediate flush.
     jobs:
         Worker-process count forwarded to the batched engines (``None``
-        keeps them serial; the lockstep kernel usually saturates a core per
-        batch already).
+        keeps them serial; one compiled-kernel call usually saturates a
+        core per batch already).
     default_timeout:
         Per-request deadline in seconds applied when a submission does not
         pass its own ``timeout`` (``None`` = wait forever).  The deadline
@@ -344,7 +350,6 @@ class EvaluationService:
         breaker_threshold: int = 5,
         breaker_reset: float = 30.0,
         metrics: Optional[MetricsRegistry] = None,
-        vector_threshold: Optional[int] = None,
         tracing: bool = True,
         trace_sample: float = 1.0,
         trace_ring_bytes: int = 4 << 20,
@@ -361,14 +366,6 @@ class EvaluationService:
             sample=trace_sample,
             ring_bytes=trace_ring_bytes,
         )
-        # Lane count from which simulation grids run on the batched
-        # lockstep kernel instead of the per-cell dense engine.  ``None``
-        # consults the measured calibration table
-        # (src/repro/simulation/calibration.json; env
-        # ``REPRO_VECTOR_THRESHOLD`` overrides) for the backend available
-        # on this host -- ~1 with the compiled kernel, a couple of hundred
-        # lanes on the numpy fallback.
-        self.vector_threshold = _calibrated_threshold(vector_threshold)
         self._default_timeout = default_timeout
         self._oracle_budget = oracle_budget
         self._oracle_breaker = CircuitBreaker(
@@ -393,12 +390,12 @@ class EvaluationService:
         )
         self._engine_batches = self.metrics.counter(
             "repro_service_engine_batches_total",
-            "Batched-engine invocations (grid, group or solo).",
+            "Batched-engine invocations (column, group or solo).",
         )
         self._sim_engines = self.metrics.counter(
             "repro_service_sim_engine_total",
-            "Simulation grid/solo evaluations by the concrete engine that "
-            "served them (dense, lockstep or compiled).",
+            "Simulation column/solo evaluations by the concrete engine that "
+            "served them (dense or compiled; workload.numpy for workloads).",
             labels=("engine",),
         )
         self._evaluated_cells = self.metrics.counter(
@@ -429,8 +426,8 @@ class EvaluationService:
         # KernelBatchStats records.
         self._kernel_steps = self.metrics.counter(
             "repro_kernel_steps_total",
-            "Kernel step-loop iterations by engine (lockstep: synchronised "
-            "steps; compiled: retire windows; workload: event batches).",
+            "Kernel step-loop iterations by engine (compiled and dense: "
+            "retire windows; workload: event batches).",
             labels=("engine",),
         )
         self._kernel_events = self.metrics.counter(
@@ -591,21 +588,17 @@ class EvaluationService:
         )
         # The stochastic family consumes an RNG stream across the cells of a
         # batch, so only a solo evaluation matches the one-shot semantics.
-        # Deterministic policies group across *platforms and policies* too:
-        # a flush covering an ablation-shaped burst (every task at every
-        # host size under every policy) becomes one task x platform x
-        # policy grid for the lockstep kernel.
+        # Deterministic requests sharing a platform and a policy form one
+        # task column: one simulate_many call per group.
         solo = policy == RandomPolicy.name
         payload = self._submit(
             kind="simulate",
             fingerprint=fingerprint,
-            group_key=(bool(offload_enabled), solo),
+            group_key=(bool(offload_enabled), platform, policy_fp, solo),
             task=task,
             params={
                 "platform": platform,
-                "task_fp": task_fp,
                 "policy": policy,
-                "policy_fp": policy_fp,
                 "policy_seed": policy_seed,
                 "priorities": priorities,
                 "offload_enabled": bool(offload_enabled),
@@ -800,10 +793,9 @@ class EvaluationService:
             "evaluated_cells": self._evaluated_cells.value(),
             "solo_evaluations": self._solo_evaluations.value(),
             "inflight_joins": self._inflight_joins.value(),
-            "vector_threshold": self.vector_threshold,
             "by_engine": {
                 name: self._sim_engines.value(engine=name)
-                for name in ("dense", "lockstep", "compiled")
+                for name in ("dense", "compiled", _WORKLOAD_ENGINE)
             },
         }
         resilience = {
@@ -1015,11 +1007,11 @@ class EvaluationService:
                     else:
                         self._run_makespan_group(requests, flush_span)
                 except BaseException:  # noqa: BLE001 - isolate per request
-                    # One bad request (or an infeasible *unrequested* grid
-                    # cell) must not fail its coalesced group-mates: fall
-                    # back to sequential per-request evaluation -- exactly
-                    # the semantics the batch is contracted to reproduce --
-                    # so only genuinely failing requests error.
+                    # One bad request must not fail its coalesced
+                    # group-mates: fall back to sequential per-request
+                    # evaluation -- exactly the semantics the batch is
+                    # contracted to reproduce -- so only genuinely failing
+                    # requests error.
                     self._run_group_solo(requests, flush_span)
         except BaseException as error:  # noqa: BLE001 - fan out whole batch
             flush_span.set_error()
@@ -1048,7 +1040,7 @@ class EvaluationService:
                             payload = self._evaluate_workload(params)
                         self._record_kernel_stats(kstats, engine_span)
                     self._count_engine_call(1, solo=True)
-                    self._sim_engines.inc(engine="lockstep")
+                    self._sim_engines.inc(engine=_WORKLOAD_ENGINE)
                     self._finish(request, payload)
                     continue
                 span_name = (
@@ -1123,11 +1115,6 @@ class EvaluationService:
         if merged is not None and span:
             span.set("kernel", merged)
 
-    #: A grid call may evaluate at most this factor more cells than were
-    #: actually requested before the group falls back to per-policy /
-    #: per-platform sub-grids (which are dense by construction).
-    _GRID_WASTE_LIMIT = 2.0
-
     def _run_simulation_group(
         self, requests: list[BatchRequest], flush_span=NULL_SPAN
     ) -> None:
@@ -1154,130 +1141,31 @@ class EvaluationService:
                     self._sim_engines.inc(engine="dense")
                     self._finish(request, simulation_payload(value))
             return
-        # Try the full task x platform x policy grid of the flush first:
-        # an ablation-shaped burst (every task at every host size under
-        # every policy) forms an exactly dense 3-axis grid and becomes one
-        # ``simulate_many`` call.  When the combined grid would waste more
-        # cells than it coalesces, fall back to per-policy sub-groups
-        # (each re-checked against the per-platform waste limit).
-        by_policy: dict[str, list[BatchRequest]] = {}
-        for request in requests:
-            by_policy.setdefault(request.params["policy_fp"], []).append(
-                request
-            )
-        if len(by_policy) > 1:
-            tasks, platforms, policies, cells = self._assemble_grid(requests)
-            total = len(tasks) * len(platforms) * len(policies)
-            if total <= self._GRID_WASTE_LIMIT * len(requests):
-                self._run_simulation_grid(
-                    tasks, platforms, policies, requests, cells, flush_span
-                )
-                return
-        for subset in by_policy.values():
-            self._run_policy_group(subset, flush_span)
-
-    @staticmethod
-    def _assemble_grid(
-        requests: list[BatchRequest],
-    ) -> tuple[list, list, list, list]:
-        """Dedupe the flush into task rows x platform cols x policy slabs.
-
-        Requests are unique by fingerprint (in-flight dedupe), so every
-        ``(task, platform, policy)`` cell appears at most once.
-        """
-        tasks: list[DagTask] = []
-        task_rows: dict[str, int] = {}
-        platforms: list[Platform] = []
-        platform_cols: dict[Platform, int] = {}
-        policies: list[SchedulingPolicy] = []
-        policy_slabs: dict[str, int] = {}
-        cells: list[tuple[BatchRequest, int, int, int]] = []
-        for request in requests:
-            spec = request.params
-            row = task_rows.get(spec["task_fp"])
-            if row is None:
-                row = task_rows[spec["task_fp"]] = len(tasks)
-                tasks.append(request.task)
-            col = platform_cols.get(spec["platform"])
-            if col is None:
-                col = platform_cols[spec["platform"]] = len(platforms)
-                platforms.append(spec["platform"])
-            slab = policy_slabs.get(spec["policy_fp"])
-            if slab is None:
-                slab = policy_slabs[spec["policy_fp"]] = len(policies)
-                policies.append(
-                    build_policy(
-                        spec["policy"], spec["policy_seed"], spec["priorities"]
-                    )
-                )
-            cells.append((request, row, col, slab))
-        return tasks, platforms, policies, cells
-
-    def _run_policy_group(
-        self, requests: list[BatchRequest], flush_span=NULL_SPAN
-    ) -> None:
-        """One policy's requests: task x platform grid, waste-checked."""
-        tasks, platforms, policies, cells = self._assemble_grid(requests)
-        if len(tasks) * len(platforms) > self._GRID_WASTE_LIMIT * len(requests):
-            # Sparse grid: evaluating it would waste more cells than it
-            # coalesces.  Split by platform and re-assemble each subset --
-            # the per-platform sub-grids are dense by construction, and
-            # reusing _assemble_grid keeps the task-row dedupe (a task
-            # requested under two platforms lands in two subsets but must
-            # never occupy two rows of one) instead of hand-building a
-            # row-per-request mapping that silently assumed uniqueness.
-            by_platform: dict[Platform, list[BatchRequest]] = {}
-            for request, _, _, _ in cells:
-                by_platform.setdefault(request.params["platform"], []).append(
-                    request
-                )
-            for subset in by_platform.values():
-                sub = self._assemble_grid(subset)
-                self._run_simulation_grid(
-                    sub[0], sub[1], sub[2], subset, sub[3], flush_span
-                )
-            return
-        self._run_simulation_grid(
-            tasks, platforms, policies, requests, cells, flush_span
+        # The group shares platform, policy and offload mode, and requests
+        # are unique by fingerprint, so its tasks are distinct: one column,
+        # one cell per request.
+        policy = build_policy(
+            params["policy"], params["policy_seed"], params["priorities"]
         )
-
-    def _run_simulation_grid(
-        self,
-        tasks: list[DagTask],
-        platforms: list[Platform],
-        policies: list[SchedulingPolicy],
-        requests: list[BatchRequest],
-        cells: list[tuple[BatchRequest, int, int, int]],
-        flush_span=NULL_SPAN,
-    ) -> None:
-        params = requests[0].params
-        # Every (task, platform, policy) cell is one lane of the batched
-        # kernel (the grid executor grew the policy axis in PR 8), so the
-        # dense-vs-lockstep crossover must count the policy axis too: an
-        # ablation-shaped burst (1 task x 1 platform x 7 policies) is a
-        # 7-lane batch, not a 1-lane one.
-        lanes = len(tasks) * len(platforms) * len(policies)
-        engine = "auto" if lanes >= self.vector_threshold else "dense"
+        engine = resolve_engine("auto")
         with self.tracer.shared_child(
             flush_span, "engine.simulate"
         ) as engine_span:
             with collect_kernel_stats() as kstats:
-                grid = simulate_many(
-                    tasks,
-                    platforms,
-                    policies,
-                    offload_enabled=params["offload_enabled"],
+                column = simulate_many(
+                    [request.task for request in requests],
+                    params["platform"],
+                    policy,
+                    offload_enabled=offload_enabled,
                     jobs=self._jobs,
-                    engine=engine,
                 )
-            engine_span.set("engine", resolve_engine(engine))
-            engine_span.set("lanes", lanes)
-            engine_span.set("requests", len(requests))
+            engine_span.set("engine", engine)
+            engine_span.set("lanes", len(requests))
             self._record_kernel_stats(kstats, engine_span)
-        self._count_engine_call(lanes)
-        self._sim_engines.inc(engine=resolve_engine(engine))
-        for request, row, col, slab in cells:
-            self._finish(request, simulation_payload(grid[row, col, slab]))
+        self._count_engine_call(len(requests))
+        self._sim_engines.inc(engine=engine)
+        for request, value in zip(requests, column[:, 0, 0]):
+            self._finish(request, simulation_payload(value))
 
     def _evaluate_workload(self, params: dict) -> dict:
         """One workload request end to end (build, couple, fold metrics)."""
@@ -1311,11 +1199,11 @@ class EvaluationService:
             ) as engine_span:
                 with collect_kernel_stats() as kstats:
                     payload = self._evaluate_workload(request.params)
-                engine_span.set("engine", "lockstep")
+                engine_span.set("engine", _WORKLOAD_ENGINE)
                 engine_span.set("instances", payload["instances"])
                 self._record_kernel_stats(kstats, engine_span)
             self._count_engine_call(max(1, payload["instances"]))
-            self._sim_engines.inc(engine="lockstep")
+            self._sim_engines.inc(engine=_WORKLOAD_ENGINE)
             self._finish(request, payload)
 
     def _run_analysis_group(

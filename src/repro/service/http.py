@@ -44,6 +44,7 @@ import logging
 import math
 import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -687,6 +688,25 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         """The actually bound TCP port (useful with ``port=0``)."""
         return self.server_address[1]
 
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` now and wait until it has returned.
+
+        The stdlib loop reads its stop flag only when its selector wakes:
+        on a new connection or at the end of a poll interval (0.5 s by
+        default), so a plain ``shutdown()`` blocked ~0.45 s.  Polling more
+        often would wake the idle acceptor tens of times a second for the
+        server's whole life; instead the flag is raised first and one
+        throwaway connection to the listening socket wakes the selector,
+        which then exits without accepting it (``server_close()`` drops it).
+        """
+        # The flag BaseServer.shutdown() itself raises before it waits.
+        self._BaseServer__shutdown_request = True
+        try:
+            socket.create_connection(self.server_address[:2], timeout=1.0).close()
+        except OSError:
+            pass  # not listening any more: the poll interval still ends the loop
+        super().shutdown()
+
 
 def start_server(
     service: EvaluationService,
@@ -791,15 +811,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "the exact engines again",
     )
     parser.add_argument(
-        "--vector-threshold",
-        type=int,
-        default=None,
-        help="lane count (tasks x platforms) from which simulation grids "
-        "run on the batched lockstep kernel instead of the dense engine "
-        "(default: the measured calibration table for this host's backend; "
-        "env REPRO_VECTOR_THRESHOLD also overrides)",
-    )
-    parser.add_argument(
         "--port-file",
         default=None,
         help="write the bound port to this file once listening "
@@ -869,7 +880,6 @@ def serve_from_args(args: argparse.Namespace) -> int:
             oracle_budget=args.oracle_budget,
             breaker_threshold=args.breaker_threshold,
             breaker_reset=args.breaker_reset,
-            vector_threshold=args.vector_threshold,
             tracing=not args.no_tracing,
             trace_sample=trace_sample,
             trace_ring_bytes=trace_ring_bytes,

@@ -46,6 +46,7 @@ from ..core.exceptions import SimulationError
 from ..core.graph import NodeId
 from ..core.task import DagTask
 from .engine import _as_platform, _device_assignment
+from .kernel_stats import record_kernel_batch
 from .platform import Platform
 from .schedulers import (
     BreadthFirstPolicy,
@@ -203,6 +204,7 @@ def simulate_makespan_dense(
         enqueue(i)
 
     current_time = 0.0
+    windows = 0
     while remaining > 0:
         # Start nodes while compatible resources are free (work conserving).
         while free_cores and ready_host:
@@ -231,6 +233,7 @@ def simulate_makespan_dense(
         # finishes at that instant.
         current_time = running[0][0]
         threshold = current_time + 1e-12
+        windows += 1
         while running and running[0][0] <= threshold:
             finish, _, i, device = heappop(running)
             if finish > makespan:
@@ -268,4 +271,8 @@ def simulate_makespan_dense(
                 else:
                     enqueue(s)
 
+    # One lane, one retire window per step (the compiled kernel's counting).
+    record_kernel_batch(
+        "dense", lanes=1, steps=windows, events=n, lane_steps=windows
+    )
     return makespan

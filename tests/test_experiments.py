@@ -230,6 +230,31 @@ class TestAblations:
         for series in result.series:
             assert len(series) == 2
 
+    def test_service_ablation_matches_direct_ablation(self):
+        # The served ablation (one request per cell, coalesced by the
+        # facade into one column per platform and policy) must reproduce
+        # the direct batched driver exactly for every deterministic policy.
+        from repro.experiments.ablations import (
+            ABLATION_POLICY_NAMES,
+            run_scheduler_ablation,
+            run_scheduler_ablation_service,
+        )
+        from repro.simulation.schedulers import policy_by_name
+
+        names = [name for name in ABLATION_POLICY_NAMES if name != "random"]
+        assert len(names) == 6
+        scale = replace(quick_scale(), dags_per_point=3, fractions=[0.1, 0.3])
+        direct = run_scheduler_ablation(
+            scale, cores=4, policies=[policy_by_name(name) for name in names]
+        )
+        served = run_scheduler_ablation_service(scale, cores=4, policy_names=names)
+        assert served.labels() == direct.labels() == names
+        for name in names:
+            expected = direct.series_by_label(name)
+            actual = served.series_by_label(name)
+            assert actual.x == expected.x
+            assert actual.y == expected.y
+
     def test_ilp_ablation_oracles_agree(self):
         from repro.experiments.ablations import run_ilp_ablation
 

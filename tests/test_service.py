@@ -660,32 +660,13 @@ class TestEvaluationServiceSemantics:
 
 
 # ----------------------------------------------------------------------
-# Engine selection: measured crossover threshold + per-engine accounting
+# Engine selection: per-engine accounting + column grouping
 # ----------------------------------------------------------------------
 class TestEngineSelectionAndThreshold:
-    def test_constructor_threshold_overrides_calibration(self):
-        with EvaluationService(vector_threshold=3, **FAST_BATCHING) as service:
-            assert service.stats()["engine"]["vector_threshold"] == 3
+    """Per-engine accounting and (platform, policy) column grouping."""
 
-    def test_env_threshold_overrides_calibration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "7")
-        with EvaluationService(**FAST_BATCHING) as service:
-            assert service.stats()["engine"]["vector_threshold"] == 7
-
-    def test_explicit_threshold_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "7")
-        with EvaluationService(vector_threshold=2, **FAST_BATCHING) as service:
-            assert service.stats()["engine"]["vector_threshold"] == 2
-
-    def test_default_threshold_comes_from_calibration_table(self):
-        from repro.simulation.calibration import vector_threshold
-
-        with EvaluationService(**FAST_BATCHING) as service:
-            assert (
-                service.stats()["engine"]["vector_threshold"] == vector_threshold()
-            )
-
-    def test_by_engine_counters_and_prometheus_series(self):
+    def test_by_engine_counters_and_prometheus_series(self, monkeypatch):
+        from repro.simulation import _kernels
         from repro.simulation.batch import resolve_engine
 
         tasks = [make_random_heterogeneous_task(s, 0.2, n_max=30) for s in range(4)]
@@ -699,37 +680,45 @@ class TestEngineSelectionAndThreshold:
                     )
                 )
 
-        # Below the (huge) threshold every group runs on the dense engine.
-        with EvaluationService(vector_threshold=10**6, **FAST_BATCHING) as service:
-            dense_values = burst(service)
+        # Every column is served by the engine "auto" resolves to on this
+        # machine, and counted under that engine only.
+        with EvaluationService(**FAST_BATCHING) as service:
+            auto_values = burst(service)
             by_engine = service.stats()["engine"]["by_engine"]
-            assert by_engine["dense"] >= 1
-            assert by_engine["lockstep"] == 0 and by_engine["compiled"] == 0
+            engine = resolve_engine("auto")
+            other = "dense" if engine == "compiled" else "compiled"
+            assert by_engine[engine] >= 1
+            assert by_engine[other] == 0
             rendered = service.metrics.render_prometheus()
-            assert 'repro_service_sim_engine_total{engine="dense"}' in rendered
+            assert f'repro_service_sim_engine_total{{engine="{engine}"}}' in rendered
 
-        # Threshold 1: every grid goes through the vector path, served by
-        # whichever concrete engine "auto" resolves to on this machine.
-        with EvaluationService(vector_threshold=1, **FAST_BATCHING) as service:
-            vector_values = burst(service)
-            by_engine = service.stats()["engine"]["by_engine"]
-            assert by_engine["dense"] == 0
-            assert by_engine[resolve_engine("auto")] >= 1
+        # Without the compiled kernel every column runs on the dense engine.
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+        _kernels._reset_for_tests()
+        try:
+            with EvaluationService(**FAST_BATCHING) as service:
+                dense_values = burst(service)
+                by_engine = service.stats()["engine"]["by_engine"]
+                assert by_engine["dense"] >= 1
+                assert by_engine["compiled"] == 0
+                rendered = service.metrics.render_prometheus()
+                assert 'repro_service_sim_engine_total{engine="dense"}' in rendered
+        finally:
+            monkeypatch.delenv("REPRO_COMPILED", raising=False)
+            _kernels._reset_for_tests()
         # Engine choice never changes answers (the bit-identity contract).
-        assert vector_values == dense_values
+        assert auto_values == dense_values
 
     def test_multi_policy_burst_coalesces_into_one_grid(self):
         # An ablation-shaped burst (every task under every deterministic
-        # policy on one platform) must flush as a single task x platform x
-        # policy grid: one batch, zero wasted cells.
+        # policy on one platform) must flush as one batch that runs one
+        # task column per policy: zero wasted cells.
         tasks = [
             make_random_heterogeneous_task(40 + s, 0.2, n_max=30) for s in range(3)
         ]
         policies = ["breadth-first", "shortest-first", "longest-first"]
         platform = Platform(2, 1)
-        service = EvaluationService(
-            flush_interval=30.0, quiet_interval=10.0, vector_threshold=1
-        )
+        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
         with ThreadPoolExecutor(9) as pool:
             futures = {
                 (index, name): pool.submit(
@@ -753,7 +742,7 @@ class TestEngineSelectionAndThreshold:
         stats = service.stats()
         assert stats["batching"]["batches"] == 1
         assert stats["engine"]["evaluated_cells"] == 9  # 3 tasks x 1 x 3 policies
-        assert stats["engine"]["batches"] == 1
+        assert stats["engine"]["batches"] == 3  # one column per policy
 
 
 # ----------------------------------------------------------------------
@@ -849,6 +838,21 @@ class TestHTTPTransport:
             client._request("/no-such-endpoint")
         with pytest.raises(ServiceError, match="missing the 'task'"):
             client._request("/simulate", {"cores": 2})
+
+    def test_server_stops_promptly(self):
+        # serve_forever checks its shutdown flag once per poll interval;
+        # with the stdlib's 0.5 s default every shutdown() blocked ~0.45 s
+        # until ServiceHTTPServer.shutdown() learned to wake the selector.
+        with EvaluationService(**FAST_BATCHING) as service:
+            server, thread = start_server(service, port=0)
+            client = ServiceClient(port=server.port, timeout=10)
+            assert client.health()["status"] == "ok"
+            started = time.perf_counter()
+            server.shutdown()
+            elapsed = time.perf_counter() - started
+            server.server_close()
+            thread.join(timeout=10)
+        assert elapsed < 0.1
 
     def test_unreachable_server_raises_service_error(self):
         client = ServiceClient(port=1, timeout=1)

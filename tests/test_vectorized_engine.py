@@ -1,12 +1,14 @@
-"""Bit-identity of the lockstep kernel against both scalar engines.
+"""Bit-identity of the compiled kernel against both scalar engines.
 
-The vectorised lockstep kernel (:mod:`repro.simulation.vectorized`) and the
+The compiled C kernel behind :mod:`repro.simulation.vectorized` and the
 batched :func:`~repro.simulation.batch.simulate_many` fast path must
 reproduce the reference trace engine's makespans *exactly* -- same floats,
 not approximately -- for every registered policy family, platform shape,
 device assignment and offload mode.  These properties mirror
-``tests/test_dense_engine.py`` and drive all three implementations over
-random DAGs from the shared strategies, comparing with ``==``.
+``tests/test_dense_engine.py`` and drive all three engines (compiled,
+dense, reference) over random DAGs from the shared strategies, comparing
+with ``==``.  The compiled-kernel tests skip cleanly on hosts without a C
+compiler (or under ``REPRO_COMPILED=0``).
 """
 
 from __future__ import annotations
@@ -40,11 +42,18 @@ from repro.simulation.schedulers import (
 from repro.simulation.vectorized import (
     VectorCell,
     simulate_column_vectorized,
-    simulate_makespan_lockstep,
+    simulate_makespan_compiled,
     simulate_makespans_vectorized,
 )
 
 from strategies import make_random_heterogeneous_task
+
+#: Skip marker of every test that needs the compiled kernel.
+needs_kernel = pytest.mark.skipif(
+    not _kernels.compiled_available(),
+    reason="compiled kernel unavailable: "
+    f"{_kernels.compiled_unavailable_reason()}",
+)
 
 _SEEDS = st.integers(min_value=0, max_value=4_000)
 _FRACTIONS = st.floats(min_value=0.01, max_value=0.6, allow_nan=False)
@@ -88,17 +97,24 @@ def _assert_identical(task, platform, factory, offload_enabled=True, assignment=
         offload_enabled=offload_enabled,
         device_assignment=assignment,
     )
-    lockstep = simulate_makespan_lockstep(
+    compiled = simulate_makespan_compiled(
         task,
         platform,
         factory(),
         offload_enabled=offload_enabled,
         device_assignment=assignment,
     )
-    assert lockstep == dense == reference
+    assert compiled == dense == reference
 
 
 class TestLockstepBitIdentity:
+    """Compiled kernel == dense == reference on random DAGs (hypothesis).
+
+    The class keeps its historical name; it now checks the C kernel, the
+    one batched engine that remains.
+    """
+
+    @needs_kernel
     @settings(max_examples=25, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS, cores=_CORES)
     def test_all_policies_match_on_heterogeneous_tasks(self, seed, fraction, cores):
@@ -107,12 +123,12 @@ class TestLockstepBitIdentity:
         for name, factory in _policy_factories(task, seed):
             _assert_identical(task, platform, factory)
 
+    @needs_kernel
     @settings(max_examples=20, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS, cores=_CORES)
     def test_all_policies_match_on_transformed_tasks(self, seed, fraction, cores):
         # The transformed task carries the zero-WCET v_sync, exercising the
-        # instant-node cascade on every path (the vectorised wave for the
-        # fifo family, the exact scalar fallback for the stamped ones).
+        # instant-node cascade on every path and every policy family.
         task = transform(make_random_heterogeneous_task(seed, fraction, n_max=25)).task
         platform = Platform(cores, 1)
         for name, factory in _policy_factories(task, seed):
@@ -125,6 +141,7 @@ class TestLockstepBitIdentity:
         cores=_CORES,
         accelerators=st.sampled_from([1, 2, 3, 4]),
     )
+    @needs_kernel
     def test_multi_offload_assignments_match(self, seed, fraction, cores, accelerators):
         # Several offloaded regions spread over several devices (the
         # extensions' usage pattern): an explicit node -> device mapping.
@@ -137,6 +154,7 @@ class TestLockstepBitIdentity:
         for name, factory in _policy_factories(task, seed):
             _assert_identical(task, platform, factory, assignment=assignment)
 
+    @needs_kernel
     @settings(max_examples=20, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS, cores=_CORES)
     def test_offload_disabled_matches(self, seed, fraction, cores):
@@ -145,6 +163,7 @@ class TestLockstepBitIdentity:
         for name, factory in _policy_factories(task, seed):
             _assert_identical(task, platform, factory, offload_enabled=False)
 
+    @needs_kernel
     @settings(max_examples=15, deadline=None)
     @given(seed=_SEEDS, fraction=_FRACTIONS)
     def test_batched_cells_match_per_cell_runs(self, seed, fraction):
@@ -172,6 +191,7 @@ class TestLockstepBitIdentity:
                     )
         assert list(simulate_makespans_vectorized(cells)) == references
 
+    @needs_kernel
     def test_random_policy_shared_stream_matches_cell_order(self):
         # One RandomPolicy instance serving several cells must consume its
         # stream in cell order, exactly like sequential per-cell runs.
@@ -191,6 +211,7 @@ class TestLockstepBitIdentity:
         ]
         assert list(simulate_makespans_vectorized(cells)) == references
 
+    @needs_kernel
     def test_column_grid_matches_reference(self):
         tasks = [make_random_heterogeneous_task(seed, 0.3, n_max=20) for seed in range(5)]
         platforms = [Platform(2, 1), Platform(5, 1)]
@@ -205,13 +226,14 @@ class TestLockstepBitIdentity:
                         task, platform, policy_by_name(name)
                     ).makespan()
 
+    @needs_kernel
     def test_near_tied_finishes_keep_fifo_order(self):
         # Float-sum divergence (0.1 + 0.2 != 0.3) produces completions that
         # differ by less than the engines' 1e-12 retire window: they retire
-        # in the same step but with *different* finish times, so same-step
-        # arrivals no longer tie on ready time and the kernel must fall
-        # back to the full (lane, ready, index) ordering.  Chained tenth
-        # WCETs generate such windows all over the schedule.
+        # in the same window but with *different* finish times, so
+        # same-window arrivals no longer tie on ready time and the full
+        # (ready, index) ordering decides.  Chained tenth WCETs generate
+        # such windows all over the schedule.
         tenths = [0.1, 0.2, 0.3]
         for cores in (1, 2, 3):
             for seed in range(6):
@@ -228,7 +250,7 @@ class TestLockstepBitIdentity:
                 task = DagTask.from_wcets(wcets, edges)
                 reference = simulate(task, cores, BreadthFirstPolicy()).makespan()
                 assert (
-                    simulate_makespan_lockstep(task, cores, BreadthFirstPolicy())
+                    simulate_makespan_compiled(task, cores, BreadthFirstPolicy())
                     == reference
                 )
                 assert (
@@ -236,6 +258,7 @@ class TestLockstepBitIdentity:
                     == reference
                 )
 
+    @needs_kernel
     def test_unsupported_policy_rejected(self):
         class Custom(SchedulingPolicy):
             def priority(self, node, ready_time, arrival_index):
@@ -243,7 +266,7 @@ class TestLockstepBitIdentity:
 
         task = make_random_heterogeneous_task(1, 0.2, n_max=10)
         with pytest.raises(ValueError):
-            simulate_makespan_lockstep(task, 2, Custom())
+            simulate_makespan_compiled(task, 2, Custom())
 
     def test_vector_kind_registry(self):
         assert policy_vector_kind(BreadthFirstPolicy()) == VECTOR_FIFO
@@ -330,47 +353,14 @@ class TestSimulateManyEngines:
             simulate_many(tasks, [2], engine="warp")
 
 
-#: Both lockstep-kernel backends; the compiled C backend is skipped cleanly
-#: on hosts without a working C compiler (or with ``REPRO_COMPILED=0``).
-_BACKENDS = [
-    "numpy",
-    pytest.param(
-        "compiled",
-        marks=pytest.mark.skipif(
-            not _kernels.compiled_available(),
-            reason="compiled kernel unavailable: "
-            f"{_kernels.compiled_unavailable_reason()}",
-        ),
-    ),
-]
-
-#: The simulate_many engine name serving each backend explicitly.
-_BACKEND_ENGINE = {"numpy": "lockstep", "compiled": "compiled"}
+#: The batched-engine axis: only the compiled C kernel remains.  The axis
+#: keeps its parameter so the test ids stay stable.
+_BACKENDS = [pytest.param("compiled", marks=needs_kernel)]
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
 class TestBackendBitIdentity:
-    """The PR-8 backend axis: every backend equals the scalar engines."""
-
-    def _assert_backend_identical(
-        self, task, platform, factory, backend, offload_enabled=True, assignment=None
-    ):
-        dense = simulate_makespan_dense(
-            task,
-            platform,
-            factory(),
-            offload_enabled=offload_enabled,
-            device_assignment=assignment,
-        )
-        lockstep = simulate_makespan_lockstep(
-            task,
-            platform,
-            factory(),
-            offload_enabled=offload_enabled,
-            device_assignment=assignment,
-            backend=backend,
-        )
-        assert lockstep == dense
+    """The compiled kernel equals both scalar engines on fixed inputs."""
 
     def test_all_policies_on_original_and_transformed(self, backend):
         for seed in range(8):
@@ -379,9 +369,7 @@ class TestBackendBitIdentity:
                 for cores in (1, 3):
                     platform = Platform(cores, 1)
                     for name, factory in _policy_factories(task, seed):
-                        self._assert_backend_identical(
-                            task, platform, factory, backend
-                        )
+                        _assert_identical(task, platform, factory)
 
     def test_multi_device_assignments(self, backend):
         for seed in range(6):
@@ -395,11 +383,10 @@ class TestBackendBitIdentity:
                 platform = Platform(2, accelerators)
                 for name, factory in _policy_factories(task, seed):
                     for offload_enabled in (True, False):
-                        self._assert_backend_identical(
+                        _assert_identical(
                             task,
                             platform,
                             factory,
-                            backend,
                             offload_enabled=offload_enabled,
                             assignment=assignment,
                         )
@@ -422,15 +409,13 @@ class TestBackendBitIdentity:
             task = DagTask.from_wcets(wcets, edges)
             for cores in (1, 2):
                 for name, factory in _policy_factories(task, seed):
-                    self._assert_backend_identical(
-                        task, Platform(cores, 1), factory, backend
-                    )
+                    _assert_identical(task, Platform(cores, 1), factory)
 
     def test_stamped_ties_near_equal_keys(self, backend):
         # Equal static keys must fall to the arrival tie-breaker: uniform
         # WCETs tie every shortest/longest key, and tenth-sum ready times
-        # land within 1e-12 retire windows -- the packed single-float
-        # select must still replay the scalar (key, arrival) heap order.
+        # land within 1e-12 retire windows -- the kernel's ready heap must
+        # still replay the scalar (key, arrival) heap order.
         for seed in range(6):
             rng = np.random.default_rng(seed + 100)
             wcets = {f"n{i}": 0.1 for i in range(14)}
@@ -443,15 +428,14 @@ class TestBackendBitIdentity:
             task = DagTask.from_wcets(wcets, edges)
             for name in ("shortest-first", "longest-first", "fixed-priority"):
                 for cores in (1, 2, 3):
-                    self._assert_backend_identical(
+                    _assert_identical(
                         task,
                         Platform(cores, 1),
                         lambda name=name: policy_by_name(name),
-                        backend,
                     )
 
     def test_batch_composition_independent(self, backend):
-        # One mixed batch equals per-cell runs on either backend.
+        # One mixed batch equals the per-cell dense and reference runs.
         base = make_random_heterogeneous_task(11, 0.25, n_max=20)
         tasks = [base, transform(base).task]
         platforms = [Platform(1, 1), Platform(3, 1)]
@@ -466,15 +450,14 @@ class TestBackendBitIdentity:
                             policy=policy_by_name(name, rng=11),
                         )
                     )
-                    references.append(
-                        simulate_makespan_dense(
-                            task, platform, policy_by_name(name, rng=11)
-                        )
+                    dense = simulate_makespan_dense(
+                        task, platform, policy_by_name(name, rng=11)
                     )
-        assert (
-            list(simulate_makespans_vectorized(cells, backend=backend))
-            == references
-        )
+                    assert dense == simulate(
+                        task, platform, policy_by_name(name, rng=11)
+                    ).makespan()
+                    references.append(dense)
+        assert list(simulate_makespans_vectorized(cells)) == references
 
     def test_simulate_many_engine_and_jobs2(self, backend):
         tasks = [
@@ -487,12 +470,11 @@ class TestBackendBitIdentity:
             policy_by_name("critical-path-first"),
             RandomPolicy(5),
         ]
-        engine = _BACKEND_ENGINE[backend]
         dense = simulate_many(
             tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine="dense"
         )
         serial = simulate_many(
-            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine=engine
+            tasks, [2, 4], policies, root_seed=7, chunk_size=4, engine=backend
         )
         parallel = simulate_many(
             tasks,
@@ -500,81 +482,52 @@ class TestBackendBitIdentity:
             policies,
             root_seed=7,
             chunk_size=4,
-            engine=engine,
+            engine=backend,
             jobs=2,
         )
         assert np.array_equal(serial, dense)
         assert np.array_equal(parallel, dense)
+        # The deterministic columns also equal the reference engine.
+        for t, task in enumerate(tasks):
+            for p, cores in enumerate((2, 4)):
+                for q in (0, 1):
+                    assert serial[t, p, q] == simulate(
+                        task, cores, policies[q]
+                    ).makespan()
 
 
 class TestCompiledBackendPlumbing:
     def test_resolve_engine_names(self):
         assert resolve_engine("dense") == "dense"
-        assert resolve_engine("lockstep") == "lockstep"
+        assert resolve_engine("compiled") == "compiled"
         auto = resolve_engine("auto")
         if _kernels.compiled_available():
             assert auto == "compiled"
         else:
-            assert auto == "lockstep"
-        with pytest.raises(ValueError):
-            resolve_engine("warp")
+            assert auto == "dense"
+        for removed in ("lockstep", "warp"):
+            with pytest.raises(ValueError):
+                resolve_engine(removed)
 
     def test_disabled_env_falls_back_cleanly(self, monkeypatch):
-        # REPRO_COMPILED=0 must make "auto" degrade silently to numpy and
+        # REPRO_COMPILED=0 must make "auto" degrade silently to dense and
         # an explicit "compiled" request fail loudly -- the no-compiler CI
         # leg's contract.
-        from repro.simulation.vectorized_compiled import resolve_backend
-
         monkeypatch.setenv("REPRO_COMPILED", "0")
         _kernels._reset_for_tests()
         try:
             assert not _kernels.compiled_available()
             assert "disabled" in _kernels.compiled_unavailable_reason()
-            assert resolve_backend("auto") == "numpy"
-            with pytest.raises(RuntimeError):
-                resolve_backend("compiled")
-            assert resolve_engine("auto") == "lockstep"
+            assert resolve_engine("auto") == "dense"
             task = make_random_heterogeneous_task(2, 0.2, n_max=15)
             grid = simulate_many([task], [2], BreadthFirstPolicy())
             assert grid[0, 0, 0] == simulate_makespan_dense(
                 task, Platform(2, 1), BreadthFirstPolicy()
             )
-            with pytest.raises(RuntimeError):
-                simulate_makespan_lockstep(
-                    task, 2, BreadthFirstPolicy(), backend="compiled"
-                )
+            with pytest.raises(RuntimeError, match="disabled"):
+                simulate_many([task], [2], engine="compiled")
+            with pytest.raises(RuntimeError, match="disabled"):
+                simulate_makespan_compiled(task, 2, BreadthFirstPolicy())
         finally:
             monkeypatch.delenv("REPRO_COMPILED", raising=False)
             _kernels._reset_for_tests()
-
-    def test_py_replay_escape_hatch_still_taken_and_exact(self, monkeypatch):
-        # Transformed tasks put a zero-WCET v_sync on every path: stamped
-        # families route the affected lanes through the scalar _py_replay
-        # fallback.  The regression pins both halves: the hatch is (still)
-        # actually taken on the numpy path, and its results stay exact.
-        from repro.simulation import vectorized as vec
-
-        calls = []
-        original = vec._LockstepBatch._py_replay
-
-        def spy(self, lane, g, f):
-            calls.append(lane)
-            return original(self, lane, g, f)
-
-        monkeypatch.setattr(vec._LockstepBatch, "_py_replay", spy)
-        hit = False
-        for seed in range(10):
-            task = transform(
-                make_random_heterogeneous_task(seed, 0.3, n_max=20)
-            ).task
-            for name in ("critical-path-first", "shortest-first"):
-                calls.clear()
-                dense = simulate_makespan_dense(
-                    task, Platform(2, 1), policy_by_name(name)
-                )
-                lockstep = simulate_makespan_lockstep(
-                    task, Platform(2, 1), policy_by_name(name), backend="numpy"
-                )
-                assert lockstep == dense
-                hit = hit or bool(calls)
-        assert hit, "no seed exercised the _py_replay escape hatch"

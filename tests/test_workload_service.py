@@ -1,22 +1,18 @@
-"""Service-layer workload requests plus the PR's bugfix regressions.
+"""Service-layer workload requests plus a simulation-grouping regression.
 
-Covers three layers and three fixed bugs:
+Covers:
 
 * ``submit_workload`` through the micro-batch facade (fingerprint cache,
   per-instance payload, metrics accounting);
 * the ``POST /workload`` HTTP endpoint and ``ServiceClient.workload``;
-* regression tests for the engine-selection lane count (the policy axis
-  was dropped from the dense-vs-batched crossover), the sparse-grid
-  fallback (rebuilt per-platform sub-grids), and the calibration loader
-  (a failed first read was cached for the life of the process, and a
-  malformed ``REPRO_VECTOR_THRESHOLD`` was ignored silently).
+* a regression test that a sparse task x platform burst evaluates exactly
+  one cell per request.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -25,7 +21,6 @@ from repro.core.exceptions import ServiceError
 from repro.generator.arrivals import PeriodicArrivals, TraceArrivals
 from repro.service import EvaluationService, ServiceClient, start_server
 from repro.service.facade import workload_payload
-from repro.simulation.batch import resolve_engine
 from repro.simulation.engine import simulate_makespan
 from repro.simulation.platform import Platform
 from repro.simulation.schedulers import policy_by_name
@@ -89,7 +84,7 @@ class TestFacadeWorkload:
             assert first == second
             assert stats["requests"]["workload"] == 2
             assert stats["cache"]["hits"] >= 1
-            assert stats["engine"]["by_engine"]["lockstep"] >= 1
+            assert stats["engine"]["by_engine"]["workload.numpy"] >= 1
 
     def test_random_policy_requires_seed(self):
         streams = _streams()
@@ -191,65 +186,14 @@ class TestWorkloadHTTP:
 
 
 # ----------------------------------------------------------------------
-# Regression: the policy axis counts towards the engine crossover
-# ----------------------------------------------------------------------
-class TestEngineSelectionCountsPolicyAxis:
-    def test_ablation_shaped_burst_picks_batched_engine(self):
-        # 1 task x 1 platform x 5 policies with the crossover at 4 lanes:
-        # the burst is a 5-lane batch and must run on the batched kernel.
-        # (The regressed lane count was len(tasks) * len(platforms) == 1,
-        # which kept such bursts on the dense engine forever.)
-        task = make_random_heterogeneous_task(44, 0.2, n_max=25)
-        policies = [
-            "breadth-first",
-            "depth-first",
-            "critical-path-first",
-            "shortest-first",
-            "longest-first",
-        ]
-        platform = Platform(2, 1)
-        service = EvaluationService(
-            flush_interval=30.0, quiet_interval=10.0, vector_threshold=4
-        )
-        with ThreadPoolExecutor(len(policies)) as pool:
-            futures = {
-                name: pool.submit(
-                    service.submit_simulation,
-                    task,
-                    platform,
-                    policy=name,
-                    timeout=60,
-                )
-                for name in policies
-            }
-            while service.stats()["batching"]["pending"] < len(policies):
-                time.sleep(0.001)
-            service.close(timeout=60)
-            for name in policies:
-                assert futures[name].result(60) == simulate_makespan(
-                    task, platform, policy_by_name(name)
-                )
-        stats = service.stats()
-        by_engine = stats["engine"]["by_engine"]
-        batched = resolve_engine("auto")
-        assert by_engine["dense"] == 0
-        assert by_engine[batched] >= 1
-        assert stats["engine"]["evaluated_cells"] == len(policies)
-        rendered = service.metrics.render_prometheus()
-        assert (
-            f'repro_service_sim_engine_total{{engine="{batched}"}}' in rendered
-        )
-
-
-# ----------------------------------------------------------------------
-# Regression: sparse-grid fallback rebuilds dense per-platform sub-grids
+# Regression: a sparse burst evaluates one cell per request
 # ----------------------------------------------------------------------
 class TestSparseGridFallback:
     def test_fallback_wastes_no_cells_and_keeps_answers(self):
         # A diagonal-ish burst under one policy: 3 task rows x 3 platform
-        # columns for only 4 requests (9 > 2x4) forces the per-platform
-        # fallback.  Re-assembling each subset keeps the task-row dedupe
-        # and evaluates exactly one cell per request.
+        # columns for only 4 requests.  Grouping by platform runs one task
+        # column per platform, so exactly one cell is evaluated per request
+        # (a task x platform grid would evaluate 9).
         tasks = [
             make_random_heterogeneous_task(50 + s, 0.2, n_max=20)
             for s in range(3)
@@ -261,9 +205,7 @@ class TestSparseGridFallback:
             (tasks[1], platforms[2]),
             (tasks[2], platforms[2]),
         ]
-        service = EvaluationService(
-            flush_interval=30.0, quiet_interval=10.0, vector_threshold=10**6
-        )
+        service = EvaluationService(flush_interval=30.0, quiet_interval=10.0)
         with ThreadPoolExecutor(len(burst)) as pool:
             futures = [
                 pool.submit(
@@ -282,74 +224,5 @@ class TestSparseGridFallback:
         assert results == expected
         stats = service.stats()
         assert stats["batching"]["batches"] == 1
-        # The whole point of the fallback: no wasted grid cells.
+        # No wasted cells.
         assert stats["engine"]["evaluated_cells"] == len(burst)
-
-
-# ----------------------------------------------------------------------
-# Regression: calibration loading and the threshold env override
-# ----------------------------------------------------------------------
-class TestCalibrationRegressions:
-    @pytest.fixture(autouse=True)
-    def _fresh_calibration_state(self):
-        from repro.simulation import calibration
-
-        calibration._reset_for_tests()
-        yield
-        calibration._reset_for_tests()
-
-    def test_failed_read_is_not_cached(self, tmp_path, monkeypatch):
-        from repro.simulation import calibration
-
-        table = tmp_path / "calibration.json"
-        monkeypatch.setattr(calibration, "CALIBRATION_PATH", table)
-
-        # First read fails (file missing): the result must NOT be pinned.
-        assert calibration.load_calibration() == {}
-        assert calibration._cache is None
-
-        # The table appears (e.g. --calibrate finished): the next call
-        # must pick it up instead of serving the memoised failure.
-        table.write_text(
-            json.dumps({"vector_threshold": {"lockstep": 7, "compiled": 7}}),
-            encoding="utf-8",
-        )
-        loaded = calibration.load_calibration()
-        assert loaded["vector_threshold"]["lockstep"] == 7
-        assert calibration._cache == loaded  # successful reads still memoise
-        assert calibration.vector_threshold() == 7
-
-    def test_partial_write_recovers(self, tmp_path, monkeypatch):
-        from repro.simulation import calibration
-
-        table = tmp_path / "calibration.json"
-        monkeypatch.setattr(calibration, "CALIBRATION_PATH", table)
-        table.write_text('{"vector_threshold": {"lock', encoding="utf-8")
-        assert calibration.load_calibration() == {}
-        table.write_text(
-            json.dumps({"vector_threshold": {"lockstep": 9, "compiled": 9}}),
-            encoding="utf-8",
-        )
-        assert calibration.vector_threshold() == 9
-
-    def test_malformed_env_override_warns_once(self, monkeypatch):
-        from repro.simulation import calibration
-
-        monkeypatch.setenv(calibration.ENV_VAR, "banana")
-        with pytest.warns(RuntimeWarning, match="banana"):
-            first = calibration.vector_threshold()
-        # The malformed value falls through to the calibration table.
-        assert first == calibration.vector_threshold(explicit=None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            calibration.vector_threshold()
-        assert caught == []  # one-time warning: silent on repeat lookups
-
-    def test_valid_env_override_does_not_warn(self, monkeypatch):
-        from repro.simulation import calibration
-
-        monkeypatch.setenv(calibration.ENV_VAR, "42")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert calibration.vector_threshold() == 42
-        assert caught == []
