@@ -122,9 +122,9 @@ class CompiledTask:
     # ------------------------------------------------------------------
     # Batch (array) views
     # ------------------------------------------------------------------
-    # The batched engines (:mod:`repro.simulation.vectorized`, the coupled
-    # workload engine) stack many simulations of compiled tasks into flat
-    # numpy state; they need the CSR and in-degree data as integer arrays
+    # The batched engines (:mod:`repro.simulation.vectorized`, the workload
+    # engine's problem assembly) stack compiled tasks into flat numpy
+    # state; they need the CSR and in-degree data as integer arrays
     # rather than Python lists.  The arrays are materialised once per view
     # and cached (the view is immutable); like the lists they must never be
     # mutated.

@@ -5,7 +5,7 @@ isolation.  This driver asks the online question instead: a fixed set of
 periodic job streams shares one platform, the streams' periods are scaled
 so the *offered host utilisation* sweeps a grid, and every released
 instance contends for the same core/accelerator pool under the
-shared-capacity coupled simulator
+shared-capacity workload simulator
 (:func:`repro.simulation.workload.simulate_workload`).  The reported curve
 is the deadline-miss ratio per utilisation point -- the classic
 schedulability-under-load shape: flat near zero while the platform keeps
@@ -124,7 +124,6 @@ def _evaluate_point(
         workload,
         Platform(host_cores=HOST_CORES, accelerators=ACCELERATORS),
         policy_by_name(policy_name),
-        backend="auto",
     )
     return {
         "miss_ratio": result.miss_ratio(),

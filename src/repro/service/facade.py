@@ -72,7 +72,6 @@ from ..simulation.workload import (
     JobStream,
     WorkloadResult,
     build_workload,
-    resolve_workload_backend,
     simulate_workload,
 )
 from ..simulation.schedulers import (
@@ -102,10 +101,9 @@ __all__ = [
     "workload_payload",
 ]
 
-#: Engine label of workload requests in the metrics and spans: the coupled
-#: engine ``simulate_workload(backend="auto")`` resolves to, named like its
-#: kernel step profiles.
-_WORKLOAD_ENGINE = f"workload.{resolve_workload_backend('auto')}"
+#: Engine label of workload requests in the metrics and spans, named like
+#: the workload engine's kernel step profiles.
+_WORKLOAD_ENGINE = "workload.reference"
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +393,7 @@ class EvaluationService:
         self._sim_engines = self.metrics.counter(
             "repro_service_sim_engine_total",
             "Simulation column/solo evaluations by the concrete engine that "
-            "served them (dense or compiled; workload.numpy for workloads).",
+            "served them (dense or compiled; workload.reference for workloads).",
             labels=("engine",),
         )
         self._evaluated_cells = self.metrics.counter(
@@ -679,7 +677,7 @@ class EvaluationService:
 
         The streams are unrolled over ``[0, horizon)`` and all released
         instances contend for the platform's core/accelerator pool under the
-        shared-capacity coupled simulator
+        shared-capacity workload simulator
         (:func:`repro.simulation.workload.simulate_workload`).  The payload
         carries the aggregate schedulability metrics plus per-instance
         response times and deadline flags.
@@ -1168,7 +1166,7 @@ class EvaluationService:
             self._finish(request, simulation_payload(value))
 
     def _evaluate_workload(self, params: dict) -> dict:
-        """One workload request end to end (build, couple, fold metrics)."""
+        """One workload request end to end (build, simulate, fold metrics)."""
         instances = build_workload(
             params["streams"], params["horizon"], jobs=self._jobs
         )
@@ -1178,18 +1176,16 @@ class EvaluationService:
             params["platform"],
             policy,
             offload_enabled=params["offload_enabled"],
-            backend="auto",
         )
         return workload_payload(result)
 
     def _run_workload_group(
         self, requests: list[BatchRequest], flush_span=NULL_SPAN
     ) -> None:
-        """Workload requests: one coupled simulation per request.
+        """Workload requests: one shared-platform simulation per request.
 
-        Each request is already a whole multi-instance batch for the
-        coupled engine -- its instances *are* the lanes -- so there is
-        nothing further to coalesce across requests.
+        Each request's instances already contend for one platform inside a
+        single simulation, so there is nothing to coalesce across requests.
         """
         for request in requests:
             if request.resolved:

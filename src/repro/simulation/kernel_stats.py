@@ -1,10 +1,10 @@
 """Per-batch kernel step profiles (thread-local, near-zero cost when off).
 
-The engines (compiled C step loop, dense engine, workload reference and
-coupled engines) each run an event/step loop whose shape — how many steps
-it took, how many node retirements it processed, how full the lanes were —
-is exactly the information a latency trace needs at its leaves and the
-`/metrics` endpoint needs to aggregate.  This module is the collection
+The engines (compiled C step loop, dense engine, workload engine) each
+run an event/step loop whose shape — how many steps it took, how many
+node retirements it processed, how full the lanes were — is exactly the
+information a latency trace needs at its leaves and the `/metrics`
+endpoint needs to aggregate.  This module is the collection
 substrate: an engine calls :func:`record_kernel_batch` once per batch run,
 and the call is a no-op (one ``getattr`` on a ``threading.local``) unless
 the caller wrapped the run in :func:`collect_kernel_stats` — the same
@@ -16,9 +16,8 @@ Semantics of the counters (uniform across engines):
     Iterations of the engine's main loop.  For the compiled C kernel it is
     the total number of retire windows summed over lanes (the C loop
     advances one lane at a time); the dense engine records one single-lane
-    batch per simulation, counted the same way; for the workload engines
-    it is the number of event batches (coupled) or heap events
-    (reference).
+    batch per simulation, counted the same way; for the workload engine
+    it is the number of event-loop iterations.
 ``events``
     Node retirements processed (every node retires exactly once, so for a
     complete run this equals the total node count of the batch).
@@ -58,7 +57,7 @@ _STATE = threading.local()
 class KernelBatchStats:
     """Step profile of one kernel batch run."""
 
-    engine: str  # "compiled" | "dense" | "workload.numpy" | ...
+    engine: str  # "compiled" | "dense" | "workload.reference"
     lanes: int
     steps: int
     events: int

@@ -24,8 +24,8 @@ Model
   contend for the same host cores and accelerator devices instead of
   simulating independently.
 
-Event-loop specification (both engines implement it exactly)
-------------------------------------------------------------
+Event-loop specification
+------------------------
 Each step advances time to the earliest pending event, then processes the
 three phases in a fixed order:
 
@@ -50,20 +50,15 @@ arrival stamps count non-instant enqueues across the whole workload and the
 draw pool is pre-drawn once (``Generator.random(k)`` consumes the bit
 stream exactly like ``k`` scalar draws).
 
-Engines
--------
-:func:`simulate_workload_reference` is the scalar reference: a heap-based
-Python event loop, deliberately written like
-:func:`repro.simulation.engine.simulate` so a single-instance workload
-released at 0 reproduces ``simulate_makespan`` bit for bit.
-
-:func:`simulate_workload` is the coupled lockstep path: the numpy engine
-advances the whole shared node space per step with grouped propagation and
-vectorised selection (``backend="auto"`` serves it today; a compiled-C shared-platform mode is
-an explicit follow-on and ``backend="compiled"`` says so).  Its results are
-**bit-identical** to the reference -- the same cross-engine contract every
-other layer of the repo obeys, enforced by the hypothesis harness in
-``tests/test_workload.py``.
+Engine
+------
+:func:`simulate_workload` is one scalar engine: a heap-based Python event
+loop, deliberately written like :func:`repro.simulation.engine.simulate`
+so a single-instance workload released at 0 reproduces
+``simulate_makespan`` bit for bit, and well-separated instances of one
+task each reproduce it too (``tests/test_workload.py`` checks both).
+:func:`simulate_workload_reference` is the same function under the name
+the answer oracles import.
 """
 
 from __future__ import annotations
@@ -105,10 +100,6 @@ __all__ = [
 
 #: Same completion-coincidence tolerance as every other engine in the repo.
 _TIE = 1e-12
-
-#: Backends of :func:`simulate_workload`.  ``auto`` resolves to ``numpy``
-#: today; the compiled-C shared-platform mode is a documented follow-on.
-WORKLOAD_BACKENDS = ("auto", "numpy", "reference")
 
 
 # ----------------------------------------------------------------------
@@ -287,17 +278,15 @@ class WorkloadResult:
 
 
 # ----------------------------------------------------------------------
-# Shared problem preparation (input canonicalisation, no scheduling logic)
+# Problem preparation (input canonicalisation, no scheduling logic)
 # ----------------------------------------------------------------------
 class _WorkloadProblem:
     """The concatenated global node space of one workload.
 
     Pure data: per-instance compiled CSRs stitched together with global
-    offsets (the compiled kernel's flat layout with one lane group), the
-    shared platform's capacity, per-node device targets, the policy's key
-    family and -- for the stochastic family -- the pre-drawn priority pool.
-    Both engines consume this and nothing else, so their agreement is about
-    the event loops, not about input parsing.
+    offsets, the shared platform's capacity, per-node device targets, the
+    policy's key family and -- for the stochastic family -- the pre-drawn
+    priority pool.  The event loop consumes this and nothing else.
     """
 
     def __init__(
@@ -360,12 +349,6 @@ class _WorkloadProblem:
         if ptr_parts:
             self.succ_ptr[:-1] = np.concatenate(ptr_parts)
         self.succ_ptr[-1] = edge_base
-        self.instant = self.wcet == 0.0
-        # Whole-problem fast-path flags: most workloads have no instant
-        # nodes and many are host-only, which lets the coupled engine skip
-        # the cascade guards and the per-device pool plumbing per step.
-        self.has_instant = bool(self.instant.any())
-        self.all_host = not bool((self.device >= 0).any())
         self.static_keys = (
             np.concatenate(static_parts)
             if static_parts
@@ -395,8 +378,6 @@ class _WorkloadProblem:
             ],
             dtype=np.float64,
         )
-        # Per-instance source nodes (in-degree 0), in global node order.
-        self.sources = np.flatnonzero(self.in_degree0 == 0)
 
     def result(self, finish: np.ndarray) -> WorkloadResult:
         """Fold per-node finish times into the per-instance result."""
@@ -419,7 +400,7 @@ class _WorkloadProblem:
 
 
 # ----------------------------------------------------------------------
-# Scalar reference engine
+# Event loop
 # ----------------------------------------------------------------------
 def _reference_finish_times(problem: _WorkloadProblem) -> np.ndarray:
     """Heap-based scalar event loop over the shared global node space."""
@@ -556,396 +537,21 @@ def _reference_finish_times(problem: _WorkloadProblem) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Coupled numpy engine
-# ----------------------------------------------------------------------
-class _CoupledEngine:
-    """Vectorised event loop over the shared node space.
-
-    One lockstep "lane group": grouped successor propagation with
-    decisive-edge readiness per step, batched release seeding and lexsort
-    selection over the shared capacity pool.  Steps whose newly-ready set
-    contains an instant node fall back -- for the *stamped* families only,
-    FIFO keys are insensitive to cascade interleaving -- to a scalar replay
-    of that step, executed from the still-uncommitted state so the stamp
-    interleaving matches the reference exactly.
-    """
-
-    def __init__(self, problem: _WorkloadProblem) -> None:
-        p = problem
-        self.p = p
-        self.kind = p.kind
-        self.in_degree = p.in_degree0.copy()
-        self.ready_time = np.zeros(p.total_nodes, dtype=np.float64)
-        self.finish_time = np.zeros(p.total_nodes, dtype=np.float64)
-        self.remaining = p.total_nodes
-        self.arrival = 0
-        self.start_seq = 0
-
-        slots = p.cores + p.devices
-        self.slot_finish = np.full(slots, math.inf, dtype=np.float64)
-        self.slot_node = np.full(slots, -1, dtype=np.int64)
-        self.slot_seq = np.zeros(slots, dtype=np.int64)
-        self.free_host = list(range(p.cores - 1, -1, -1))
-
-        # Ready pools: parallel arrays (node, primary key, secondary key).
-        # Selection lexsorts (secondary within primary), which realises the
-        # exact tuple order of the reference heaps for every key family.
-        self.host_pool: list[np.ndarray] = [
-            np.empty(0, np.int64),
-            np.empty(0, np.float64),
-            np.empty(0, np.float64),
-        ]
-        self.device_pools = [
-            [
-                np.empty(0, np.int64),
-                np.empty(0, np.float64),
-                np.empty(0, np.float64),
-            ]
-            for _ in range(p.devices)
-        ]
-
-    # -- pool plumbing -------------------------------------------------
-    def _keys_for(self, nodes: np.ndarray, stamps: np.ndarray) -> tuple:
-        p = self.p
-        if self.kind == VECTOR_FIFO:
-            return self.ready_time[nodes], nodes.astype(np.float64)
-        if self.kind == VECTOR_LIFO:
-            return -stamps.astype(np.float64), np.zeros(len(nodes))
-        if self.kind == VECTOR_STATIC:
-            return p.static_keys[nodes], stamps.astype(np.float64)
-        return p.draw_pool[stamps - 1], stamps.astype(np.float64)
-
-    def _push(self, nodes: np.ndarray) -> None:
-        """Append non-instant ready nodes to their pools, stamping arrivals.
-
-        ``nodes`` must already be in the enqueue order of the reference
-        engine for this phase (decisive-edge order for retirements, global
-        node order for releases) -- the stamps are assigned along it.
-        """
-        if not len(nodes):
-            return
-        stamps = self.arrival + 1 + np.arange(len(nodes), dtype=np.int64)
-        self.arrival += len(nodes)
-        prim, sec = self._keys_for(nodes, stamps)
-        if self.p.all_host:
-            pool = self.host_pool
-            pool[0] = np.concatenate([pool[0], nodes])
-            pool[1] = np.concatenate([pool[1], prim])
-            pool[2] = np.concatenate([pool[2], sec])
-            return
-        on_device = self.p.device[nodes]
-        for dev in (-1, *range(self.p.devices)):
-            mask = on_device == dev
-            if not np.any(mask):
-                continue
-            pool = self.host_pool if dev < 0 else self.device_pools[dev]
-            pool[0] = np.concatenate([pool[0], nodes[mask]])
-            pool[1] = np.concatenate([pool[1], prim[mask]])
-            pool[2] = np.concatenate([pool[2], sec[mask]])
-
-    def _take(self, pool: list[np.ndarray], count: int) -> np.ndarray:
-        """Remove and return the ``count`` smallest-key nodes of ``pool``."""
-        size = len(pool[0])
-        if size == 0 or count <= 0:
-            return np.empty(0, dtype=np.int64)
-        order = np.lexsort((pool[2], pool[1]))
-        take = order[: min(count, size)]
-        nodes = pool[0][take]
-        keep = np.ones(size, dtype=bool)
-        keep[take] = False
-        pool[0], pool[1], pool[2] = pool[0][keep], pool[1][keep], pool[2][keep]
-        return nodes
-
-    # -- event-loop phases ---------------------------------------------
-    def _scalar_enqueue(self, node: int, when: float) -> None:
-        """Reference-identical enqueue-with-cascade for fallback steps."""
-        p = self.p
-        pending = deque(((node, when),))
-        while pending:
-            current, at = pending.popleft()
-            if p.wcet[current] == 0.0:
-                self.finish_time[current] = at
-                self.remaining -= 1
-                newly = []
-                for s in p.succ_idx[
-                    p.succ_ptr[current] : p.succ_ptr[current + 1]
-                ]:
-                    if at > self.ready_time[s]:
-                        self.ready_time[s] = at
-                    self.in_degree[s] -= 1
-                    if self.in_degree[s] == 0:
-                        newly.append((int(s), self.ready_time[s]))
-                pending.extend(newly)
-                continue
-            node_arr = np.array([current], dtype=np.int64)
-            self._push(node_arr)
-
-    def _propagate_batch(self, nodes: np.ndarray, fins: np.ndarray) -> None:
-        """Grouped propagation of retired ``nodes`` (in retirement order).
-
-        Computes the newly-ready set read-only first; if a stamped family
-        would cascade (an instant node among the newly ready), the whole
-        step is replayed scalar so stamp interleaving matches the
-        reference.  Otherwise updates commit vectorised and stamps follow
-        decisive-edge order.
-        """
-        p = self.p
-        starts = p.succ_ptr[nodes]
-        counts = p.succ_ptr[nodes + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return
-        # Ragged gather of every (edge target, source finish) in retirement-
-        # major CSR order -- the enqueue order of the reference engine.
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, counts)
-        targets = p.succ_idx[flat]
-        fsrc = np.repeat(fins, counts)
-
-        order = np.argsort(targets, kind="stable")
-        tsorted = targets[order]
-        boundary = np.ones(len(tsorted), dtype=bool)
-        boundary[1:] = tsorted[1:] != tsorted[:-1]
-        group_start = np.flatnonzero(boundary)
-        uniq = tsorted[group_start]
-        group_counts = np.diff(np.append(group_start, len(tsorted)))
-        newly_mask = self.in_degree[uniq] == group_counts
-        newly = uniq[newly_mask]
-
-        if (
-            p.has_instant
-            and self.kind != VECTOR_FIFO
-            and len(newly)
-            and np.any(p.instant[newly])
-        ):
-            # Stamped family + instant cascade: replay the retirements
-            # scalar from the uncommitted state (reference semantics).
-            for node, fin in zip(nodes.tolist(), fins.tolist()):
-                step_newly = []
-                for s in p.succ_idx[p.succ_ptr[node] : p.succ_ptr[node + 1]]:
-                    if fin > self.ready_time[s]:
-                        self.ready_time[s] = fin
-                    self.in_degree[s] -= 1
-                    if self.in_degree[s] == 0:
-                        step_newly.append((int(s), self.ready_time[s]))
-                for ready_node, when in step_newly:
-                    self._scalar_enqueue(ready_node, when)
-            return
-
-        # Commit: ready-time maxima and in-degree decrements are order-free.
-        fmax = np.maximum.reduceat(fsrc[order], group_start)
-        np.maximum.at(self.ready_time, uniq, fmax)
-        np.subtract.at(self.in_degree, uniq, group_counts)
-        if not len(newly):
-            return
-        # Decisive-edge order: a node becomes ready at its *last* incoming
-        # edge of the step; sort newly nodes by that edge's flat position.
-        last_index = np.append(group_start[1:], len(tsorted)) - 1
-        last_pos = order[last_index]
-        newly_order = np.argsort(last_pos[newly_mask], kind="stable")
-        newly = newly[newly_order]
-        if self.kind == VECTOR_FIFO:
-            self._fifo_wave(newly)
-        else:
-            self._push(newly)
-
-    def _fifo_wave(self, newly: np.ndarray) -> None:
-        """Resolve instant nodes breadth-wise (FIFO keys are cascade-
-        insensitive: readiness maxima and in-degree countdowns are
-        order-free, and the (ready, index) key carries no stamp)."""
-        p = self.p
-        if not p.has_instant:
-            self._push(newly)
-            return
-        while len(newly):
-            instant = newly[p.instant[newly]]
-            self._push(newly[~p.instant[newly]])
-            if not len(instant):
-                return
-            self.finish_time[instant] = self.ready_time[instant]
-            self.remaining -= len(instant)
-            starts = p.succ_ptr[instant]
-            counts = p.succ_ptr[instant + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                return
-            offsets = np.repeat(np.cumsum(counts) - counts, counts)
-            flat = (
-                np.arange(total, dtype=np.int64)
-                - offsets
-                + np.repeat(starts, counts)
-            )
-            targets = p.succ_idx[flat]
-            fsrc = np.repeat(self.ready_time[instant], counts)
-            order = np.argsort(targets, kind="stable")
-            tsorted = targets[order]
-            boundary = np.ones(len(tsorted), dtype=bool)
-            boundary[1:] = tsorted[1:] != tsorted[:-1]
-            group_start = np.flatnonzero(boundary)
-            uniq = tsorted[group_start]
-            group_counts = np.diff(np.append(group_start, len(tsorted)))
-            fmax = np.maximum.reduceat(fsrc[order], group_start)
-            np.maximum.at(self.ready_time, uniq, fmax)
-            np.subtract.at(self.in_degree, uniq, group_counts)
-            newly = uniq[self.in_degree[uniq] == 0]
-
-    def _release_batch(self, first: int, stop: int) -> None:
-        """Seed the sources of instances ``first:stop`` (workload order)."""
-        p = self.p
-        lo, hi = p.node_off[first], p.node_off[stop]
-        sources = p.sources[
-            np.searchsorted(p.sources, lo) : np.searchsorted(p.sources, hi)
-        ]
-        # Each source's ready time is its own instance's release.
-        instance_of = np.searchsorted(p.node_off[1:], sources, side="right")
-        self.ready_time[sources] = p.releases[instance_of]
-        if (
-            p.has_instant
-            and self.kind != VECTOR_FIFO
-            and np.any(p.instant[sources])
-        ):
-            # Instant sources cascade; stamped families replay the seeding
-            # scalar (instance order, then creation order -- which is
-            # exactly the global node order ``sources`` already has).
-            for node in sources.tolist():
-                self._scalar_enqueue(int(node), float(self.ready_time[node]))
-            return
-        if self.kind == VECTOR_FIFO:
-            self._fifo_wave(sources)
-        else:
-            self._push(sources)
-
-    def _start_ready(self, now: float) -> None:
-        p = self.p
-        if self.free_host and len(self.host_pool[0]):
-            nodes = self._take(self.host_pool, len(self.free_host))
-            count = len(nodes)
-            if count:
-                # Slots are claimed in stack-pop order and sequence numbers
-                # in selection order -- exactly the scalar start loop.
-                slots = np.array(
-                    self.free_host[: -count - 1 : -1], dtype=np.int64
-                )
-                del self.free_host[-count:]
-                self.slot_finish[slots] = now + p.wcet[nodes]
-                self.slot_node[slots] = nodes
-                self.slot_seq[slots] = self.start_seq + 1 + np.arange(count)
-                self.start_seq += count
-        if p.all_host:
-            return
-        for dev in range(p.devices):
-            slot = p.cores + dev
-            if math.isinf(self.slot_finish[slot]) and len(
-                self.device_pools[dev][0]
-            ):
-                node = int(self._take(self.device_pools[dev], 1)[0])
-                self.start_seq += 1
-                self.slot_finish[slot] = now + p.wcet[node]
-                self.slot_node[slot] = node
-                self.slot_seq[slot] = self.start_seq
-
-    def run(self) -> np.ndarray:
-        p = self.p
-        release_ptr = 0
-        instance_count = len(p.instances)
-        steps = 0
-        retire_width = 0
-        while self.remaining > 0:
-            steps += 1
-            next_finish = float(self.slot_finish.min()) if len(
-                self.slot_finish
-            ) else math.inf
-            next_release = (
-                p.releases[release_ptr]
-                if release_ptr < instance_count
-                else math.inf
-            )
-            now = min(next_finish, next_release)
-            if math.isinf(now):
-                raise SimulationError(
-                    "workload simulation deadlocked: nodes remain but "
-                    "nothing is running and no release is pending"
-                )
-            done = np.flatnonzero(self.slot_finish <= now + _TIE)
-            retire_width += len(done)
-            if len(done):
-                order = np.lexsort(
-                    (self.slot_seq[done], self.slot_finish[done])
-                )
-                done = done[order]
-                nodes = self.slot_node[done]
-                fins = self.slot_finish[done].copy()
-                self.finish_time[nodes] = fins
-                self.remaining -= len(nodes)
-                for slot in done.tolist():
-                    if slot < p.cores:
-                        self.free_host.append(slot)
-                self.slot_finish[done] = math.inf
-                self.slot_node[done] = -1
-                self._propagate_batch(nodes, fins)
-            stop = release_ptr
-            while (
-                stop < instance_count and p.releases[stop] <= now + _TIE
-            ):
-                stop += 1
-            if stop > release_ptr:
-                self._release_batch(release_ptr, stop)
-                release_ptr = stop
-            self._start_ready(now)
-        # lane_steps carries the summed retire-batch widths: occupancy is
-        # the mean batch width over the in-flight slot capacity.
-        record_kernel_batch(
-            "workload.numpy",
-            lanes=max(len(self.slot_finish), 1),
-            steps=steps,
-            events=p.total_nodes,
-            lane_steps=retire_width,
-        )
-        return self.finish_time
-
-
-# ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
 def resolve_workload_backend(backend: str = "auto") -> str:
-    """Concrete backend ``simulate_workload`` will use for ``backend``.
+    """The engine ``simulate_workload`` runs for a backend name.
 
-    ``auto`` resolves to the coupled numpy engine.  A compiled-C
-    shared-platform mode (one pool across a lane group inside the PR 8 C
-    step loop) is a documented follow-on; requesting ``compiled``
-    explicitly says so instead of silently downgrading.
+    Kept for callers that still name a backend (the benchmark's layer
+    counters).  There is one workload engine, so ``auto`` and
+    ``reference`` both resolve to ``"reference"``; any other name,
+    including the deleted ``numpy`` engine, is rejected.
     """
-    if backend == "auto":
-        return "numpy"
-    if backend == "compiled":
-        raise SimulationError(
-            "the compiled backend has no shared-platform (multi-instance) "
-            "mode yet -- it simulates independent lanes only; use "
-            "backend='auto' (numpy coupled engine) for workloads"
-        )
-    if backend not in WORKLOAD_BACKENDS:
-        valid = ", ".join(WORKLOAD_BACKENDS)
-        raise ValueError(
-            f"unknown workload backend {backend!r}; valid backends: {valid}"
-        )
-    return backend
-
-
-def simulate_workload_reference(
-    workload: Sequence[JobInstance],
-    platform: Union[Platform, int],
-    policy: Optional[SchedulingPolicy] = None,
-    offload_enabled: bool = True,
-) -> WorkloadResult:
-    """Scalar reference simulation of a multi-instance workload.
-
-    The validation anchor of the coupled engine: a heap-based Python event
-    loop implementing the module's event-loop specification verbatim.  A
-    single-instance workload released at 0 reproduces
-    :func:`~repro.simulation.engine.simulate_makespan` bit for bit.
-    """
-    problem = _WorkloadProblem(workload, platform, policy, offload_enabled)
-    return problem.result(_reference_finish_times(problem))
+    if backend in ("auto", "reference"):
+        return "reference"
+    raise ValueError(
+        f"unknown workload backend {backend!r}; valid backends: auto, reference"
+    )
 
 
 def simulate_workload(
@@ -953,19 +559,20 @@ def simulate_workload(
     platform: Union[Platform, int],
     policy: Optional[SchedulingPolicy] = None,
     offload_enabled: bool = True,
-    backend: str = "auto",
 ) -> WorkloadResult:
     """Simulate a workload of released job instances on one shared platform.
 
     All instances contend for the same ``m`` host cores and accelerator
-    devices under one work-conserving scheduler; the result carries
+    devices under one work-conserving scheduler (the module's event-loop
+    specification, run by a heap-based scalar loop); the result carries
     per-instance completion times and the derived response-time /
-    deadline-miss / backlog metrics.  Bit-identical to
-    :func:`simulate_workload_reference` for every backend (the repo-wide
-    cross-engine contract; hypothesis-enforced).
+    deadline-miss / backlog metrics.  A single-instance workload released
+    at 0 reproduces :func:`~repro.simulation.engine.simulate_makespan` bit
+    for bit.
     """
-    resolved = resolve_workload_backend(backend)
     problem = _WorkloadProblem(workload, platform, policy, offload_enabled)
-    if resolved == "reference":
-        return problem.result(_reference_finish_times(problem))
-    return problem.result(_CoupledEngine(problem).run())
+    return problem.result(_reference_finish_times(problem))
+
+
+#: The same engine under the name the answer oracles import.
+simulate_workload_reference = simulate_workload

@@ -4,7 +4,7 @@ The expected curve is committed under
 ``benchmarks/results/workload_schedulability.json``.  The sweep exercises
 the whole online-workload stack -- seeded stream-task generation, jittered
 periodic arrivals, ``build_workload`` unrolling, and the shared-capacity
-coupled lockstep simulator -- so a bit-identical golden pins all of it:
+workload simulator -- so a bit-identical golden pins all of it:
 any change to draws, event ordering, or float evaluation order shows up
 here.  The sweep must also be bit-identical under ``--jobs`` (each
 (utilisation, policy) cell is a deterministic seeded simulation).

@@ -84,7 +84,7 @@ class TestFacadeWorkload:
             assert first == second
             assert stats["requests"]["workload"] == 2
             assert stats["cache"]["hits"] >= 1
-            assert stats["engine"]["by_engine"]["workload.numpy"] >= 1
+            assert stats["engine"]["by_engine"]["workload.reference"] >= 1
 
     def test_random_policy_requires_seed(self):
         streams = _streams()
